@@ -1,6 +1,7 @@
 # Tier-1 verification gate and performance tooling.
 #
-#   make check      — the tier-1 gate: build, vet, repolint, tests, race tests
+#   make check      — the tier-1 gate: build, vet, repolint, tests, race tests,
+#                     and a vet of the nested perfbench module
 #   make lint       — go vet + the repo's own analyzers (cmd/repolint)
 #   make ci         — the gate plus gofmt, the lint baseline, and the crash harness
 #   make crash      — kill/resume harness + fuzz smokes (DESIGN.md §11)
@@ -15,7 +16,7 @@
 #   make benchservice — partitiond latency + cache-hit gate (DESIGN.md §14, ≥10x)
 GO ?= go
 
-.PHONY: all build vet lint test race check ci fmtcheck baselinecheck crash chaos bench benchjson benchobs benchckpt benchsoa benchlint benchshard benchservice clean clean-lintcache
+.PHONY: all build vet lint test race perfbenchvet check ci fmtcheck baselinecheck crash chaos bench benchjson benchobs benchckpt benchsoa benchlint benchshard benchservice clean clean-lintcache
 
 all: check
 
@@ -46,8 +47,14 @@ test:
 race:
 	$(GO) test -race ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/...
 
+# perfbenchvet type-checks the benchmark, a nested module the root ./...
+# patterns skip: removing an API it imports must fail this gate, not the
+# next benchmark run. The environment matches perfbench/run.sh.
+perfbenchvet:
+	cd perfbench && GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off $(GO) vet ./...
+
 # check is the tier-1 gate every PR must keep green (see README).
-check: build lint test race
+check: build lint test race perfbenchvet
 
 # fmtcheck fails if any file is not gofmt-clean.
 fmtcheck:

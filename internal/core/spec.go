@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/checkpoint"
 	"repro/internal/faults"
@@ -196,13 +198,19 @@ func (s Spec) Fingerprint() (string, error) {
 
 // ParseSpec decodes and validates a serialized spec. Unknown fields are
 // rejected: a misspelled knob silently reverting to its default would
-// poison the content-addressed cache.
+// poison the content-addressed cache. So is anything but whitespace after
+// the spec object — trailing garbage or a second document would otherwise
+// be dropped without a word, and the caller would get a job it never asked
+// for.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("core: parse spec: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
+		return Spec{}, errors.New("core: parse spec: trailing data after the spec object")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

@@ -157,6 +157,75 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// minimalSpec is the smallest document ParseSpec accepts.
+const minimalSpec = `{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1}`
+
+// TestParseSpecTrailingData: only whitespace may follow the spec object.
+// Trailing garbage or a second document back to back must be rejected
+// rather than silently dropped.
+func TestParseSpecTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		doc  string
+		ok   bool
+	}{
+		{"bare", minimalSpec, true},
+		{"trailing newline", minimalSpec + "\n", true},
+		{"trailing whitespace", minimalSpec + " \r\n\t ", true},
+		{"trailing garbage", minimalSpec + " trailing garbage", false},
+		{"second document", minimalSpec + minimalSpec, false},
+		{"second document after newline", minimalSpec + "\n" + minimalSpec + "\n", false},
+		{"trailing empty object", minimalSpec + "{}", false},
+		{"trailing number", minimalSpec + " 7", false},
+		{"trailing brace", minimalSpec + "}", false},
+	} {
+		_, err := ParseSpec([]byte(tc.doc))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ParseSpec(%q) err = %v, want ok=%v", tc.name, tc.doc, err, tc.ok)
+		}
+	}
+}
+
+// FuzzParseSpec throws arbitrary bytes at the spec decoder. It must never
+// panic, and every document it accepts must canonicalize to a document it
+// also accepts, under the same fingerprint — the cache key cannot drift
+// between a submitted spec and the sidecar the daemon resurrects it from.
+func FuzzParseSpec(f *testing.F) {
+	f.Add([]byte(minimalSpec))
+	f.Add([]byte(minimalSpec + "\n"))
+	f.Add([]byte(minimalSpec + " trailing garbage"))
+	f.Add([]byte(minimalSpec + minimalSpec))
+	f.Add([]byte(`{"schema":"spec.v1","run":{"verb":"attack","name":"spatial"},"seed":7,"grid_size":30,"shards":4,"shard_workers":2}`))
+	f.Add([]byte(`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,"grid_sise":30}`))
+	f.Add([]byte(`{"schema":"spec.v1"`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		fp, err := spec.Fingerprint()
+		if err != nil {
+			t.Fatalf("accepted spec %q has no fingerprint: %v", data, err)
+		}
+		canonical, err := spec.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("accepted spec %q has no canonical form: %v", data, err)
+		}
+		back, err := ParseSpec(canonical)
+		if err != nil {
+			t.Fatalf("canonical form %s of accepted spec rejected: %v", canonical, err)
+		}
+		fpBack, err := back.Fingerprint()
+		if err != nil {
+			t.Fatalf("re-parsed canonical spec has no fingerprint: %v", err)
+		}
+		if fpBack != fp {
+			t.Fatalf("fingerprint drifted through canonicalization: %s -> %s (%s)", fp, fpBack, canonical)
+		}
+	})
+}
+
 // TestNewFromSpec ties the spec to the constructor: the built study carries
 // the spec's options, and SpecFromStudy inverts it.
 func TestNewFromSpec(t *testing.T) {

@@ -212,36 +212,6 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// Option configures a Scenario under construction (see NewScenario).
-type Option func(*Scenario)
-
-// WithName labels the scenario.
-func WithName(name string) Option { return func(s *Scenario) { s.Name = name } }
-
-// WithChurn sets the churn spec.
-func WithChurn(c ChurnSpec) Option { return func(s *Scenario) { s.Churn = c } }
-
-// WithLinks sets the link-fault spec.
-func WithLinks(l LinkSpec) Option { return func(s *Scenario) { s.Links = l } }
-
-// WithChaos sets the message-chaos spec.
-func WithChaos(c ChaosSpec) Option { return func(s *Scenario) { s.Chaos = c } }
-
-// NewScenario builds a custom scenario from functional options, mirroring
-// core.New's construction style:
-//
-//	sc := faults.NewScenario(
-//		faults.WithName("my-lab"),
-//		faults.WithChurn(faults.ChurnSpec{Fraction: 0.2, MeanUptime: 4 * time.Hour, MeanDowntime: 20 * time.Minute}),
-//	)
-func NewScenario(opts ...Option) Scenario {
-	var s Scenario
-	for _, apply := range opts {
-		apply(&s)
-	}
-	return s
-}
-
 // Stable is the explicit pristine-network preset: a named scenario that
 // injects nothing. It exists so `-faults stable` states the baseline
 // explicitly, and so fault sweeps have a control row.

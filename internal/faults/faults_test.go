@@ -76,19 +76,6 @@ func TestPresetRegistry(t *testing.T) {
 	}
 }
 
-func TestNewScenarioOptions(t *testing.T) {
-	churn := ChurnSpec{Fraction: 0.2, MeanUptime: 4 * time.Hour, MeanDowntime: 20 * time.Minute}
-	links := LinkSpec{DropFraction: 0.1}
-	chaos := ChaosSpec{LossProb: 0.05}
-	sc := NewScenario(WithName("lab"), WithChurn(churn), WithLinks(links), WithChaos(chaos))
-	if sc.Name != "lab" || sc.Churn != churn || sc.Links != links || sc.Chaos != chaos {
-		t.Errorf("NewScenario assembled %+v", sc)
-	}
-	if !sc.Enabled() {
-		t.Error("assembled scenario not enabled")
-	}
-}
-
 func TestValidateRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,7 +20,8 @@ import (
 
 // maxSpecBytes bounds a submitted spec document. Specs are small (a few
 // hundred bytes); the bound keeps a misbehaving client from buffering
-// arbitrary data into the daemon.
+// arbitrary data into the daemon. A larger body is refused with 413, never
+// truncated into a misleading parse error.
 const maxSpecBytes = 1 << 20
 
 // tracePollInterval paces the NDJSON trace stream between empty polls.
@@ -58,7 +60,8 @@ var retrySleep = time.Sleep
 // Handler builds the partitiond HTTP API over the service:
 //
 //	POST /v1/jobs            submit a spec; 202 accepted, 200 cached/exists,
-//	                         429 refused (admission control), 400 invalid
+//	                         429 refused (admission control), 400 invalid,
+//	                         413 body over maxSpecBytes
 //	GET  /v1/jobs            list tracked jobs
 //	GET  /v1/jobs/{id}       job status
 //	GET  /v1/jobs/{id}/result the raw output bytes of a done job
@@ -68,7 +71,12 @@ var retrySleep = time.Sleep
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		raw, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("spec exceeds %d bytes", maxSpecBytes))
+			return
+		}
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("read spec: %v", err))
 			return

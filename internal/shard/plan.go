@@ -1,9 +1,11 @@
 package shard
 
-// Plan materializes a Router over a concrete world: the owner of every key,
-// each shard's key list, and each shard's halo — the foreign keys whose
-// state the shard must read when it ticks its own, i.e. the per-tick
-// boundary-exchange set. Like the engines it serves, the Plan is held
+import "fmt"
+
+// Plan materializes a band partition over a concrete world: the owner of
+// every key, each shard's key list, and each shard's halo — the foreign
+// keys whose state the shard must read when it ticks its own, i.e. the
+// per-tick boundary-exchange set. Like the engines it serves, the Plan is held
 // structure-of-arrays: one flat backing slice per relation with per-shard
 // offsets, so a 10⁶-key world costs a handful of allocations however many
 // shards it splits into.
@@ -13,7 +15,6 @@ package shard
 // shards 0..k-1 of per-shard results — visits keys in a fixed total order,
 // so merged statistics cannot depend on which worker ticked which shard.
 type Plan struct {
-	router Router
 	// owner[key] is the shard that owns key.
 	owner []int32
 	// keys/keyOff: shard s owns keys[keyOff[s]:keyOff[s+1]], ascending.
@@ -25,41 +26,49 @@ type Plan struct {
 	haloOff []int32
 }
 
-// BuildPlan routes every key in [0, n) and derives per-shard key and halo
-// lists. adj returns a key's neighborhood (any order; the grid passes its
-// flat Moore-neighbor cache, the peer graph its outbound lists). adj may be
-// nil for worlds with no read-across-shards coupling, leaving every halo
-// empty.
-func BuildPlan(r Router, n int, adj func(key int) []int32) *Plan {
-	k := r.Shards()
+// BuildPlan splits the keys [0, n) into k contiguous bands whose sizes
+// differ by at most one key — key belongs to shard floor(key·k/n) — and
+// derives per-shard key and halo lists. On a row-major grid the bands are
+// horizontal stripes, so each shard's halo is the row above and the row
+// below its band. The multiply stays in int range for any world this
+// repository can hold (n·k < 2^63).
+//
+// adj returns a key's neighborhood in any order (the grid passes its flat
+// Moore-neighbor cache). adj may be nil for worlds with no
+// read-across-shards coupling, leaving every halo empty. BuildPlan fails
+// unless 1 <= k <= n.
+func BuildPlan(n, k int, adj func(key int) []int32) (*Plan, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("shard: key count %d < 1", n)
+	}
+	if k < 1 {
+		return nil, fmt.Errorf("shard: shard count %d < 1", k)
+	}
+	if k > n {
+		return nil, fmt.Errorf("shard: shard count %d exceeds key count %d", k, n)
+	}
 	p := &Plan{
-		router: r,
 		owner:  make([]int32, n),
 		keys:   make([]int32, n),
 		keyOff: make([]int32, k+1),
 	}
-	counts := make([]int32, k)
+	// Bands are contiguous and ascending, so the key list is the identity
+	// and keyOff[s+1] accumulates band sizes.
 	for key := 0; key < n; key++ {
-		s := r.Owner(key)
+		s := key * k / n
 		p.owner[key] = int32(s)
-		counts[s]++
+		p.keys[key] = int32(key)
+		p.keyOff[s+1]++
 	}
 	for s := 0; s < k; s++ {
-		p.keyOff[s+1] = p.keyOff[s] + counts[s]
-	}
-	fill := make([]int32, k)
-	copy(fill, p.keyOff[:k])
-	for key := 0; key < n; key++ {
-		s := p.owner[key]
-		p.keys[fill[s]] = int32(key)
-		fill[s]++
+		p.keyOff[s+1] += p.keyOff[s]
 	}
 
 	p.haloOff = make([]int32, k+1)
 	if adj == nil || k == 1 {
 		// One shard owns everything (or nothing is read across shards):
 		// every halo is empty.
-		return p
+		return p, nil
 	}
 	// stamp[key] = s+1 marks key as already in shard s's halo, so each
 	// foreign neighbor is listed once however many owned cells touch it.
@@ -79,7 +88,7 @@ func BuildPlan(r Router, n int, adj func(key int) []int32) *Plan {
 		p.haloOff[s+1] = int32(len(p.halo))
 		sortI32(p.halo[p.haloOff[s]:p.haloOff[s+1]])
 	}
-	return p
+	return p, nil
 }
 
 // sortI32 is an insertion sort: per-shard halos are nearly sorted already
@@ -96,9 +105,6 @@ func sortI32(s []int32) {
 		s[j+1] = v
 	}
 }
-
-// Router returns the router the plan was built from.
-func (p *Plan) Router() Router { return p.router }
 
 // Shards returns the shard count.
 func (p *Plan) Shards() int { return len(p.keyOff) - 1 }

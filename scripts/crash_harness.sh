@@ -13,8 +13,9 @@
 #      all` at an experiment boundary, and a restarted daemon over the same
 #      state directory resumes the job and serves a result byte-identical
 #      to the uninterrupted run (DESIGN.md §14);
-#   4. decoder hardening — short fuzz smokes over the ckpt.v1 decoder and
-#      the hardened snapshot loader.
+#   4. decoder hardening — short fuzz smokes over the ckpt.v1 decoder, the
+#      spec parser the daemon accepts jobs through, and the hardened
+#      snapshot loader.
 set -eu
 
 GO=${GO:-go}
@@ -135,8 +136,9 @@ kill -TERM "$daemon"
 wait "$daemon" || {
 	echo "crash-harness: FAIL: second daemon exited non-zero"; exit 1; }
 
-echo "crash-harness: fuzz smokes (ckpt.v1 decoder, journal reader, snapshot loader)"
+echo "crash-harness: fuzz smokes (ckpt.v1 decoder, spec parser, journal reader, snapshot loader)"
 $GO test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/checkpoint/ > /dev/null
+$GO test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 5s ./internal/core/ > /dev/null
 $GO test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 5s ./internal/checkpoint/ > /dev/null
 $GO test -run '^$' -fuzz '^FuzzReadFramed$' -fuzztime 5s ./internal/crawler/ > /dev/null
 
