@@ -3,7 +3,6 @@ package attack
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/dataset"
@@ -82,22 +81,12 @@ func FindBestMoment(tr *dataset.Trace, topASes int) (*Moment, error) {
 		Synced:      s.Buckets[0],
 		Behind:      s.UpNodes - s.Buckets[0],
 	}
-	rows := make([]dataset.SyncedASRow, 0, len(s.SyncedByAS))
-	for asn, c := range s.SyncedByAS {
-		rows = append(rows, dataset.SyncedASRow{ASN: asn, Nodes: c})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Nodes != rows[j].Nodes {
-			return rows[i].Nodes > rows[j].Nodes
-		}
-		return rows[i].ASN < rows[j].ASN
-	})
+	rows := tr.SyncedASesAt(best)
 	if topASes > len(rows) {
 		topASes = len(rows)
 	}
-	for i := 0; i < topASes; i++ {
-		rows[i].Fraction = float64(rows[i].Nodes) / float64(s.Buckets[0])
-		m.TopSyncedASes = append(m.TopSyncedASes, rows[i])
+	if topASes > 0 {
+		m.TopSyncedASes = append([]dataset.SyncedASRow(nil), rows[:topASes]...)
 	}
 	return m, nil
 }

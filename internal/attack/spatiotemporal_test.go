@@ -41,6 +41,26 @@ func TestFindBestMoment(t *testing.T) {
 			t.Error("top ASes not sorted")
 		}
 	}
+	// Asked for every AS, it lists exactly those hosting a synced node at
+	// the moment.
+	all, err := FindBestMoment(tr, len(tr.ASNs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosting := 0
+	for _, c := range tr.Samples[all.SampleIndex].SyncedByAS {
+		if c > 0 {
+			hosting++
+		}
+	}
+	if len(all.TopSyncedASes) != hosting {
+		t.Errorf("listed %d ASes, %d host a synced node", len(all.TopSyncedASes), hosting)
+	}
+	for _, r := range all.TopSyncedASes {
+		if r.Nodes == 0 {
+			t.Errorf("AS%d listed with no synced node", r.ASN)
+		}
+	}
 }
 
 func TestFindBestMomentErrors(t *testing.T) {

@@ -108,10 +108,17 @@ func (s Spec) Options() []Option {
 	}
 }
 
+// maxTraceDays bounds the lag-trace windows a spec may ask for. A trace
+// sizes its sample storage from its length up front, and a day count past
+// about 106,751 overflows time.Duration; a year covers the paper's
+// two-month general trend (the full-scale profile's 60 days) with room.
+const maxTraceDays = 366
+
 // Validate checks the structural invariants a spec must hold before it is
-// run or fingerprinted: a known schema, a known verb, a non-empty name, and
-// non-negative scale fields. Name resolution happens at dispatch, where the
-// verb's registry owns the error text.
+// run or fingerprinted: a known schema, a known verb, a non-empty name,
+// non-negative scale fields, and trace windows within maxTraceDays. Name
+// resolution happens at dispatch, where the verb's registry owns the error
+// text.
 func (s Spec) Validate() error {
 	if s.Schema != SpecSchemaV1 {
 		return fmt.Errorf("%w, got %q", errSpecSchema, s.Schema)
@@ -138,6 +145,17 @@ func (s Spec) Validate() error {
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("core: spec field %s is negative (%d)", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"tablev_trace_days", s.TableVTraceDays},
+		{"figure6a_days", s.Figure6aDays},
+	} {
+		if f.v > maxTraceDays {
+			return fmt.Errorf("core: spec field %s is %d days, above the %d-day bound", f.name, f.v, maxTraceDays)
 		}
 	}
 	if s.ShardWorkers != 0 && s.Shards == 0 {

@@ -131,13 +131,16 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	cases := map[string]func(*Spec){
-		"schema":                func(s *Spec) { s.Schema = "spec.v9" },
-		"verb":                  func(s *Spec) { s.Run.Verb = "banana" },
-		"empty name":            func(s *Spec) { s.Run.Name = "" },
-		"negative grid":         func(s *Spec) { s.GridSize = -1 },
-		"shard workers alone":   func(s *Spec) { s.ShardWorkers = 2 },
-		"negative shard count":  func(s *Spec) { s.Shards = -3 },
-		"negative trace window": func(s *Spec) { s.TableVTraceDays = -1 },
+		"schema":                   func(s *Spec) { s.Schema = "spec.v9" },
+		"verb":                     func(s *Spec) { s.Run.Verb = "banana" },
+		"empty name":               func(s *Spec) { s.Run.Name = "" },
+		"negative grid":            func(s *Spec) { s.GridSize = -1 },
+		"shard workers alone":      func(s *Spec) { s.ShardWorkers = 2 },
+		"negative shard count":     func(s *Spec) { s.Shards = -3 },
+		"negative trace window":    func(s *Spec) { s.TableVTraceDays = -1 },
+		"table V window > bound":   func(s *Spec) { s.TableVTraceDays = maxTraceDays + 1 },
+		"figure 6a window > bound": func(s *Spec) { s.Figure6aDays = maxTraceDays + 1 },
+		"overflowing window":       func(s *Spec) { s.Figure6aDays = 1 << 40 },
 	}
 	for name, mutate := range cases {
 		bad := ok
@@ -145,6 +148,11 @@ func TestSpecValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: invalid spec accepted", name)
 		}
+	}
+	edge := ok
+	edge.TableVTraceDays, edge.Figure6aDays = maxTraceDays, maxTraceDays
+	if err := edge.Validate(); err != nil {
+		t.Errorf("windows at the bound rejected: %v", err)
 	}
 }
 
@@ -198,6 +206,8 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"schema":"spec.v1","run":{"verb":"attack","name":"spatial"},"seed":7,"grid_size":30,"shards":4,"shard_workers":2}`))
 	f.Add([]byte(`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,"grid_sise":30}`))
 	f.Add([]byte(`{"schema":"spec.v1"`))
+	f.Add([]byte(`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,"tablev_trace_days":367}`))
+	f.Add([]byte(`{"schema":"spec.v1","run":{"verb":"experiment","name":"figure6a"},"seed":1,"figure6a_days":100000000}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseSpec(data)

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"repro/internal/checkpoint"
+	"repro/internal/topology"
 )
 
 // Framed trace persistence (schema trace.v1) — the dataset-side half of the
@@ -15,8 +16,9 @@ import (
 // virtual time and feeds Table V, Figure 6, and the spatio-temporal planner;
 // a run killed while writing one must not leave an archive that silently
 // parses short. Every line is wrapped in the crash-safety layer's checksum
-// frame: a header carrying the schema, the trace configuration, and the
-// block count, then one frame per sample. Loading recovers the valid prefix
+// frame: a header carrying the schema, the trace configuration, the block
+// count, and (for per-AS-tracked traces) the ASNs naming the SyncedByAS
+// slots, then one frame per sample. Loading recovers the valid prefix
 // of a damaged file and reports the truncation.
 
 // TraceSchemaV1 names the framed trace schema.
@@ -27,9 +29,10 @@ var ErrTraceSchema = errors.New("dataset: unknown trace schema")
 
 // traceHeader is the first frame of a trace.v1 file.
 type traceHeader struct {
-	Schema string      `json:"schema"`
-	Config TraceConfig `json:"config"`
-	Blocks int         `json:"blocks"`
+	Schema string         `json:"schema"`
+	Config TraceConfig    `json:"config"`
+	Blocks int            `json:"blocks"`
+	ASNs   []topology.ASN `json:"asns,omitempty"`
 }
 
 // WriteFramedTrace streams a trace in the hardened trace.v1 format.
@@ -38,7 +41,7 @@ func WriteFramedTrace(w io.Writer, t *Trace) error {
 		return errors.New("dataset: nil trace")
 	}
 	bw := bufio.NewWriter(w)
-	hdr, err := json.Marshal(traceHeader{Schema: TraceSchemaV1, Config: t.Config, Blocks: t.Blocks})
+	hdr, err := json.Marshal(traceHeader{Schema: TraceSchemaV1, Config: t.Config, Blocks: t.Blocks, ASNs: t.ASNs})
 	if err != nil {
 		return fmt.Errorf("dataset: encode trace header: %w", err)
 	}
@@ -86,7 +89,7 @@ func ReadFramedTrace(r io.Reader) (t *Trace, truncated bool, err error) {
 	if hdr.Schema != TraceSchemaV1 {
 		return nil, false, fmt.Errorf("%w %q (want %q)", ErrTraceSchema, hdr.Schema, TraceSchemaV1)
 	}
-	t = &Trace{Config: hdr.Config, Blocks: hdr.Blocks}
+	t = &Trace{Config: hdr.Config, Blocks: hdr.Blocks, ASNs: hdr.ASNs}
 	for {
 		line, complete := readFrameLine(br)
 		if len(line) == 0 && !complete {
@@ -102,6 +105,9 @@ func ReadFramedTrace(r io.Reader) (t *Trace, truncated bool, err error) {
 		var s Sample
 		if err := json.Unmarshal(payload, &s); err != nil {
 			return t, true, nil
+		}
+		if s.SyncedByAS != nil && len(s.SyncedByAS) != len(t.ASNs) {
+			return t, true, nil // slots the header does not name
 		}
 		t.Samples = append(t.Samples, s)
 	}

@@ -45,6 +45,40 @@ func TestFramedTraceRoundtrip(t *testing.T) {
 	}
 }
 
+// TestFramedTraceTrackedRoundtrip: a per-AS-tracked trace keeps the ASNs
+// naming its SyncedByAS slots, and a sample whose slot count disagrees
+// with the header is dropped as damage.
+func TestFramedTraceTrackedRoundtrip(t *testing.T) {
+	tr, err := testPop(t).RunTrace(TraceConfig{
+		Duration: 2 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 9,
+		TrackSyncedByAS: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteFramedTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, truncated, err := ReadFramedTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil || truncated {
+		t.Fatalf("clean archive: truncated=%v err=%v", truncated, err)
+	}
+	if !reflect.DeepEqual(got.ASNs, tr.ASNs) || !reflect.DeepEqual(got.Samples, tr.Samples) {
+		t.Fatal("roundtrip changed the tracked trace")
+	}
+
+	tr.Samples[3].SyncedByAS = tr.Samples[3].SyncedByAS[:10]
+	buf.Reset()
+	if err := WriteFramedTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, truncated, err = ReadFramedTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil || !truncated || len(got.Samples) != 3 {
+		t.Errorf("short slot row: %d samples, truncated=%v err=%v; want the 3-sample prefix", len(got.Samples), truncated, err)
+	}
+}
+
 // TestFramedTraceTruncation: a trace archive cut mid-sample recovers the
 // valid prefix with its header metadata intact.
 func TestFramedTraceTruncation(t *testing.T) {

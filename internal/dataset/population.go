@@ -436,6 +436,9 @@ func (p *Population) OrgNodeCounts() map[string]int {
 // NodesInAS returns the records of nodes hosted by the AS.
 func (p *Population) NodesInAS(asn topology.ASN) []NodeRecord {
 	var out []NodeRecord
+	if r, ok := p.ASRow(asn); ok {
+		out = make([]NodeRecord, 0, r.Nodes)
+	}
 	for _, n := range p.Nodes {
 		if n.ASN == asn {
 			out = append(out, n)

@@ -3,6 +3,8 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -97,8 +99,10 @@ type Sample struct {
 	// blocks behind AND will remain behind for at least
 	// VulnerabilityWindows[i] more time (the paper's L(t) >= T).
 	Vulnerable [][3]int
-	// SyncedByAS maps AS -> synced node count (only when TrackSyncedByAS).
-	SyncedByAS map[topology.ASN]int
+	// SyncedByAS counts synced nodes per AS, indexed like Trace.ASNs (only
+	// when TrackSyncedByAS; nil otherwise). ASes with no synced node at
+	// the sample hold zero.
+	SyncedByAS []int32
 	// EpisodeActive records whether a slowdown episode covered this sample.
 	EpisodeActive bool
 }
@@ -109,16 +113,156 @@ type Trace struct {
 	Samples []Sample
 	// Blocks is the number of blocks published during the trace.
 	Blocks int
+	// ASNs names the slots of every Sample.SyncedByAS, in the population's
+	// ASRows order (only when TrackSyncedByAS).
+	ASNs []topology.ASN
 }
 
-// nodeState is the per-node dynamic state of the process.
-type nodeState struct {
-	// syncedTo is the height this node has fully verified.
-	syncedTo int
-	// catchupAt is when the node will jump to the current tip; zero when
-	// the node is synced (no catch-up pending).
-	catchupAt time.Duration
-	pending   bool
+// ASSlot returns the Sample.SyncedByAS index of an AS, or false when the
+// trace has no slot for it (it did not track per-AS sync, or the AS hosts
+// no node of the population).
+func (t *Trace) ASSlot(asn topology.ASN) (int, bool) {
+	for i, a := range t.ASNs {
+		if a == asn {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// lagProcess is the dense working state of one trace: flat per-node arrays
+// over the population's up nodes only, in node order, so the block and
+// sample steps visit nodes (and draw catch-up delays) in exactly the order
+// of a walk over every node that skips the down ones.
+type lagProcess struct {
+	// rate is each node's catch-up rate, 1/MeanCatchup in seconds.
+	rate []float64
+	// slot is each node's index into Trace.ASNs (nil when not tracking).
+	slot []int32
+	// syncedTo is the height the node has fully verified.
+	syncedTo []int
+	// catchupAt is when a pending node jumps to the tip current then.
+	catchupAt []time.Duration
+	// pending marks a node with a scheduled catch-up.
+	pending []bool
+	// tip is the height of the newest published block.
+	tip int
+	// vulnHist[k][t] counts, within one sample, the lagging nodes that
+	// meet exactly the first k vulnerability windows and the first t
+	// lag thresholds.
+	vulnHist [][len(lagThresholds) + 1]int
+}
+
+// newLagProcess lays out the up nodes for a trace with the given number
+// of vulnerability windows; trackAS adds their AS slots.
+func (p *Population) newLagProcess(windows int, trackAS bool) (*lagProcess, error) {
+	up := 0
+	for i := range p.Nodes {
+		if p.Nodes[i].Up {
+			up++
+		}
+	}
+	lp := &lagProcess{
+		rate:      make([]float64, up),
+		syncedTo:  make([]int, up),
+		catchupAt: make([]time.Duration, up),
+		pending:   make([]bool, up),
+		vulnHist:  make([][len(lagThresholds) + 1]int, windows+1),
+	}
+	if trackAS {
+		lp.slot = make([]int32, up)
+	}
+	j := 0
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if !n.Up {
+			continue
+		}
+		lp.rate[j] = 1 / n.MeanCatchup.Seconds()
+		if trackAS {
+			s, ok := p.asIndex[n.ASN]
+			if !ok {
+				return nil, fmt.Errorf("dataset: node %d is in AS%d, which has no AS row", n.ID, n.ASN)
+			}
+			lp.slot[j] = int32(s)
+		}
+		j++
+	}
+	return lp, nil
+}
+
+// block publishes one block at now: every synced node (and every node
+// whose catch-up fell due, which syncs to the previous tip first) draws
+// its delay to fetch it, stretched by the episode factor slow. Nodes still
+// catching up fall further behind; their catchupAt stands.
+//
+//hot:path
+func (lp *lagProcess) block(rng *rand.Rand, now time.Duration, slow float64) {
+	lp.tip++
+	for i, rate := range lp.rate {
+		if lp.pending[i] && lp.catchupAt[i] <= now {
+			lp.syncedTo[i] = lp.tip - 1
+			lp.pending[i] = false
+		}
+		if !lp.pending[i] {
+			delay := stats.Exponential(rng, rate)
+			delay *= slow
+			lp.catchupAt[i] = now + time.Duration(delay*float64(time.Second))
+			lp.pending[i] = true
+		}
+	}
+}
+
+// sample fires the catch-ups due at s.T and counts the nodes into s, whose
+// Vulnerable (one row per window) and, when tracking, SyncedByAS (one slot
+// per AS) arrive zeroed. A lagging node counts toward Vulnerable[wi][ti]
+// for every leading window wi its remaining catch-up time meets (windows
+// are ascending) and every threshold ti its lag meets. The node loop only
+// files each node under those two prefix lengths in vulnHist, and the rows
+// are summed from the histogram afterwards.
+//
+//hot:path
+func (lp *lagProcess) sample(s *Sample, windows []time.Duration) {
+	now := s.T
+	hist := lp.vulnHist
+	for i := range lp.rate {
+		if lp.pending[i] && lp.catchupAt[i] <= now {
+			lp.syncedTo[i] = lp.tip
+			lp.pending[i] = false
+		}
+		behind := lp.tip - lp.syncedTo[i]
+		bucketAdd(&s.Buckets, behind)
+		if behind == 0 && lp.slot != nil {
+			s.SyncedByAS[lp.slot[i]]++
+		}
+		if behind > 0 && lp.pending[i] {
+			remaining := lp.catchupAt[i] - now
+			k := 0
+			for k < len(windows) && remaining >= windows[k] {
+				k++
+			}
+			t := 0
+			for t < len(lagThresholds) && behind >= lagThresholds[t] {
+				t++
+			}
+			hist[k][t]++
+		}
+	}
+	s.UpNodes = len(lp.rate)
+
+	// Vulnerable[wi][ti] = nodes with k > wi and t > ti: suffix sums over
+	// the histogram, from the longest window down.
+	var acc [len(lagThresholds)]int
+	for wi := len(windows) - 1; wi >= 0; wi-- {
+		row := &hist[wi+1]
+		c := 0
+		for ti := len(lagThresholds) - 1; ti >= 0; ti-- {
+			c += row[ti+1]
+			acc[ti] += c
+		}
+		s.Vulnerable[wi] = acc
+	}
+	clear(hist)
 }
 
 // RunTrace simulates the lag process over the population.
@@ -130,87 +274,56 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 	if cfg.SampleEvery > cfg.Duration {
 		return nil, fmt.Errorf("dataset: sample interval %v exceeds duration %v", cfg.SampleEvery, cfg.Duration)
 	}
+	lp, err := p.newLagProcess(len(cfg.VulnerabilityWindows), cfg.TrackSyncedByAS)
+	if err != nil {
+		return nil, err
+	}
 	rng := stats.NewRand(cfg.Seed)
-
-	states := make([]nodeState, len(p.Nodes))
-	tip := 0
 
 	// Pre-draw episode schedule for the whole trace.
 	episodes := drawEpisodes(rng, cfg)
 
-	trace := &Trace{Config: cfg}
+	// Sample i sits at (i+1)*SampleEvery, so the grid holds exactly
+	// Duration/SampleEvery samples; their rows share one backing array
+	// per field, capped so no sample's slice can grow into the next.
+	n := int(cfg.Duration / cfg.SampleEvery)
+	windows := cfg.VulnerabilityWindows
+	trace := &Trace{Config: cfg, Samples: make([]Sample, n)}
+	vuln := make([][3]int, n*len(windows))
+	var byAS []int32
+	if cfg.TrackSyncedByAS {
+		trace.ASNs = make([]topology.ASN, len(p.ASRows))
+		for i, r := range p.ASRows {
+			trace.ASNs[i] = r.ASN
+		}
+		byAS = make([]int32, n*len(p.ASRows))
+	}
 
 	// Event loop over two interleaved clocks: Poisson block arrivals and
 	// the regular sampling grid.
 	nextBlock := time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds()) * float64(time.Second))
 	nextSample := cfg.SampleEvery
 
-	for nextSample <= cfg.Duration {
+	for si := 0; si < n; {
 		if nextBlock <= nextSample {
 			now := nextBlock
-			tip++
 			trace.Blocks++
-			slow := episodeMultiplier(episodes, now)
-			for i := range states {
-				st := &states[i]
-				if !p.Nodes[i].Up {
-					continue
-				}
-				// Fire a due catch-up first.
-				if st.pending && st.catchupAt <= now {
-					st.syncedTo = tip - 1
-					st.pending = false
-				}
-				if !st.pending {
-					// Node was synced; it now needs to fetch the new block.
-					delay := stats.Exponential(rng, 1/p.Nodes[i].MeanCatchup.Seconds())
-					delay *= slow
-					st.catchupAt = now + time.Duration(delay*float64(time.Second))
-					st.pending = true
-				}
-				// Nodes mid-catch-up fall further behind; their catchupAt
-				// stands (they will sync to the tip as of that moment).
-			}
+			lp.block(rng, now, episodeMultiplier(episodes, now))
 			nextBlock = now + time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds())*float64(time.Second))
 			continue
 		}
 
-		now := nextSample
-		s := Sample{T: now, EpisodeActive: episodeMultiplier(episodes, now) > 1}
-		s.Vulnerable = make([][3]int, len(cfg.VulnerabilityWindows))
-		if cfg.TrackSyncedByAS {
-			s.SyncedByAS = map[topology.ASN]int{}
+		s := &trace.Samples[si]
+		s.T = nextSample
+		s.EpisodeActive = episodeMultiplier(episodes, nextSample) > 1
+		w := len(windows)
+		s.Vulnerable = vuln[si*w : (si+1)*w : (si+1)*w]
+		if byAS != nil {
+			a := len(trace.ASNs)
+			s.SyncedByAS = byAS[si*a : (si+1)*a : (si+1)*a]
 		}
-		for i := range states {
-			if !p.Nodes[i].Up {
-				continue
-			}
-			st := &states[i]
-			if st.pending && st.catchupAt <= now {
-				st.syncedTo = tip
-				st.pending = false
-			}
-			s.UpNodes++
-			behind := tip - st.syncedTo
-			bucketAdd(&s.Buckets, behind)
-			if behind == 0 && cfg.TrackSyncedByAS {
-				s.SyncedByAS[p.Nodes[i].ASN]++
-			}
-			if behind > 0 && st.pending {
-				remaining := st.catchupAt - now
-				for wi, w := range cfg.VulnerabilityWindows {
-					if remaining < w {
-						break // windows are ascending
-					}
-					for ti, th := range lagThresholds {
-						if behind >= th {
-							s.Vulnerable[wi][ti]++
-						}
-					}
-				}
-			}
-		}
-		trace.Samples = append(trace.Samples, s)
+		lp.sample(s, windows)
+		si++
 		nextSample += cfg.SampleEvery
 	}
 	return trace, nil
@@ -242,8 +355,14 @@ func drawEpisodes(rng interface {
 	Float64() float64
 	ExpFloat64() float64
 }, cfg TraceConfig) []episode {
-	var out []episode
+	// Presize for the Poisson mean plus four standard deviations, so the
+	// schedule is one allocation whatever the trace length; a rarer, longer
+	// draw still grows by append.
 	day := 24 * time.Hour
+	var out []episode
+	if mean := cfg.EpisodesPerDay * cfg.Duration.Hours() / 24; mean > 0 {
+		out = make([]episode, 0, min(int(mean+4*math.Sqrt(mean))+4, 1<<12))
+	}
 	rate := cfg.EpisodesPerDay / day.Seconds()
 	t := time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 	for t < cfg.Duration {
@@ -330,7 +449,8 @@ func (t *Trace) SyncedSeries() (synced, behind1, behind2to4 []int) {
 
 // TopSyncedASes aggregates per-AS synced-node counts across the whole trace
 // (requires TrackSyncedByAS) and returns the top n — Table VII. Counts are
-// the per-sample average number of synced nodes the AS hosted.
+// the per-sample average number of synced nodes the AS hosted; ASes that
+// never hosted a synced node are not ranked.
 func (t *Trace) TopSyncedASes(n int) ([]SyncedASRow, error) {
 	if len(t.Samples) == 0 {
 		return nil, errors.New("dataset: empty trace")
@@ -338,18 +458,21 @@ func (t *Trace) TopSyncedASes(n int) ([]SyncedASRow, error) {
 	if t.Samples[0].SyncedByAS == nil {
 		return nil, errors.New("dataset: trace did not track per-AS sync (set TrackSyncedByAS)")
 	}
-	totals := map[topology.ASN]int{}
+	totals := make([]int, len(t.ASNs))
 	var allSynced int
 	for _, s := range t.Samples {
-		for asn, c := range s.SyncedByAS {
-			totals[asn] += c
-			allSynced += c
+		for slot, c := range s.SyncedByAS {
+			totals[slot] += int(c)
+			allSynced += int(c)
 		}
 	}
-	rows := make([]SyncedASRow, 0, len(totals))
-	for asn, c := range totals {
+	var rows []SyncedASRow
+	for slot, c := range totals {
+		if c == 0 {
+			continue
+		}
 		rows = append(rows, SyncedASRow{
-			ASN:      asn,
+			ASN:      t.ASNs[slot],
 			Nodes:    c / len(t.Samples),
 			Fraction: float64(c) / float64(allSynced),
 		})
@@ -361,8 +484,27 @@ func (t *Trace) TopSyncedASes(n int) ([]SyncedASRow, error) {
 	return rows[:n], nil
 }
 
-// sortSyncedRows orders by synced count descending with ASN as tie-break,
-// so results are deterministic despite map iteration order.
+// SyncedASesAt ranks the ASes hosting synced nodes at sample i (requires
+// TrackSyncedByAS), most first, each with its share of the sample's synced
+// nodes. ASes with no synced node at the sample are not listed.
+func (t *Trace) SyncedASesAt(i int) []SyncedASRow {
+	s := &t.Samples[i]
+	var rows []SyncedASRow
+	for slot, c := range s.SyncedByAS {
+		if c == 0 {
+			continue
+		}
+		rows = append(rows, SyncedASRow{
+			ASN:      t.ASNs[slot],
+			Nodes:    int(c),
+			Fraction: float64(c) / float64(s.Buckets[0]),
+		})
+	}
+	sortSyncedRows(rows)
+	return rows
+}
+
+// sortSyncedRows orders by synced count descending with ASN as tie-break.
 func sortSyncedRows(rows []SyncedASRow) {
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Nodes != rows[j].Nodes {

@@ -1,8 +1,12 @@
 package dataset
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 func runTrace(t *testing.T, cfg TraceConfig) *Trace {
@@ -21,6 +25,24 @@ func TestRunTraceValidation(t *testing.T) {
 	}
 	if _, err := p.RunTrace(TraceConfig{Duration: time.Minute, SampleEvery: time.Hour}); err == nil {
 		t.Error("sample interval > duration accepted")
+	}
+	// A decoded population can place an up node in an AS it has no row
+	// for; per-AS tracking has no slot to count it in.
+	orphan := *p
+	orphan.Nodes = append([]NodeRecord(nil), p.Nodes...)
+	for i := range orphan.Nodes {
+		if orphan.Nodes[i].Up {
+			orphan.Nodes[i].ASN = 4200000000
+			break
+		}
+	}
+	cfg := TraceConfig{Duration: time.Hour, SampleEvery: 10 * time.Minute, Seed: 1}
+	if _, err := orphan.RunTrace(cfg); err != nil {
+		t.Errorf("untracked trace over an orphan node: %v", err)
+	}
+	cfg.TrackSyncedByAS = true
+	if _, err := orphan.RunTrace(cfg); err == nil {
+		t.Error("tracked trace accepted a node in an AS without a row")
 	}
 }
 
@@ -203,6 +225,187 @@ func TestTraceDeterminism(t *testing.T) {
 	for i := range a.Samples {
 		if a.Samples[i].Buckets != b.Samples[i].Buckets {
 			t.Fatalf("sample %d differs between identical seeds", i)
+		}
+	}
+}
+
+// TestRunTraceAllocsIndependentOfLength: sample storage is sized once per
+// trace and the block and sample steps allocate nothing, so a trace three
+// times as long costs the same number of allocations.
+func TestRunTraceAllocsIndependentOfLength(t *testing.T) {
+	p := testPop(t)
+	allocs := func(days int, track bool) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := p.RunTrace(TraceConfig{
+				Duration:        time.Duration(days) * 24 * time.Hour,
+				SampleEvery:     10 * time.Minute,
+				Seed:            4,
+				TrackSyncedByAS: track,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, track := range []bool{false, true} {
+		if one, three := allocs(1, track), allocs(3, track); one != three {
+			t.Errorf("tracked=%v: %v allocs for 1 day, %v for 3 days", track, one, three)
+		}
+	}
+}
+
+// TestSyncedByASDense: every tracked sample has one slot per AS row, the
+// slots sum to the synced bucket, and neither AS ranking lists an AS that
+// hosted no synced node.
+func TestSyncedByASDense(t *testing.T) {
+	p := testPop(t)
+	tr := runTrace(t, TraceConfig{
+		Duration: 12 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 17,
+		TrackSyncedByAS: true,
+	})
+	if len(tr.ASNs) != len(p.ASRows) {
+		t.Fatalf("ASNs = %d, want one per AS row (%d)", len(tr.ASNs), len(p.ASRows))
+	}
+	totals := make([]int, len(tr.ASNs))
+	for i, s := range tr.Samples {
+		if len(s.SyncedByAS) != len(tr.ASNs) {
+			t.Fatalf("sample %d: %d AS slots, want %d", i, len(s.SyncedByAS), len(tr.ASNs))
+		}
+		sum := 0
+		for slot, c := range s.SyncedByAS {
+			sum += int(c)
+			totals[slot] += int(c)
+		}
+		if sum != s.Buckets[0] {
+			t.Fatalf("sample %d: AS slots sum to %d, synced bucket is %d", i, sum, s.Buckets[0])
+		}
+		for _, r := range tr.SyncedASesAt(i) {
+			if slot, _ := tr.ASSlot(r.ASN); r.Nodes == 0 || s.SyncedByAS[slot] == 0 {
+				t.Fatalf("sample %d ranks AS%d with no synced node", i, r.ASN)
+			}
+		}
+	}
+	rows, err := tr.TopSyncedASes(len(tr.ASNs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := 0
+	for _, c := range totals {
+		if c > 0 {
+			ranked++
+		}
+	}
+	if len(rows) != ranked {
+		t.Errorf("TopSyncedASes ranks %d ASes, %d hosted a synced node", len(rows), ranked)
+	}
+	for _, r := range rows {
+		if slot, _ := tr.ASSlot(r.ASN); totals[slot] == 0 {
+			t.Errorf("TopSyncedASes lists AS%d, which never hosted a synced node", r.ASN)
+		}
+	}
+}
+
+// referenceTrace is the lag process as a plain walk over every node:
+// per-node structs, rates divided per draw, every window × threshold
+// counter bumped per node, a map per sample for the AS counts. RunTrace
+// must reproduce it sample for sample.
+func referenceTrace(p *Population, cfg TraceConfig) *Trace {
+	cfg = cfg.withDefaults()
+	rng := stats.NewRand(cfg.Seed)
+	type nodeState struct {
+		syncedTo  int
+		catchupAt time.Duration
+		pending   bool
+	}
+	states := make([]nodeState, len(p.Nodes))
+	tip := 0
+	episodes := drawEpisodes(rng, cfg)
+	tr := &Trace{Config: cfg}
+	if cfg.TrackSyncedByAS {
+		for _, r := range p.ASRows {
+			tr.ASNs = append(tr.ASNs, r.ASN)
+		}
+	}
+	nextBlock := time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds()) * float64(time.Second))
+	for nextSample := cfg.SampleEvery; nextSample <= cfg.Duration; {
+		if nextBlock <= nextSample {
+			now := nextBlock
+			tip++
+			tr.Blocks++
+			slow := episodeMultiplier(episodes, now)
+			for i := range states {
+				st := &states[i]
+				if !p.Nodes[i].Up {
+					continue
+				}
+				if st.pending && st.catchupAt <= now {
+					st.syncedTo, st.pending = tip-1, false
+				}
+				if !st.pending {
+					delay := stats.Exponential(rng, 1/p.Nodes[i].MeanCatchup.Seconds()) * slow
+					st.catchupAt, st.pending = now+time.Duration(delay*float64(time.Second)), true
+				}
+			}
+			nextBlock = now + time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds())*float64(time.Second))
+			continue
+		}
+		now := nextSample
+		s := Sample{T: now, EpisodeActive: episodeMultiplier(episodes, now) > 1}
+		s.Vulnerable = make([][3]int, len(cfg.VulnerabilityWindows))
+		byAS := map[topology.ASN]int{}
+		for i := range states {
+			if !p.Nodes[i].Up {
+				continue
+			}
+			st := &states[i]
+			if st.pending && st.catchupAt <= now {
+				st.syncedTo, st.pending = tip, false
+			}
+			s.UpNodes++
+			behind := tip - st.syncedTo
+			bucketAdd(&s.Buckets, behind)
+			if behind == 0 {
+				byAS[p.Nodes[i].ASN]++
+			}
+			if behind > 0 && st.pending {
+				for wi, w := range cfg.VulnerabilityWindows {
+					if st.catchupAt-now < w {
+						break
+					}
+					for ti, th := range lagThresholds {
+						if behind >= th {
+							s.Vulnerable[wi][ti]++
+						}
+					}
+				}
+			}
+		}
+		if cfg.TrackSyncedByAS {
+			s.SyncedByAS = make([]int32, len(tr.ASNs))
+			for slot, asn := range tr.ASNs {
+				s.SyncedByAS[slot] = int32(byAS[asn])
+			}
+		}
+		tr.Samples = append(tr.Samples, s)
+		nextSample += cfg.SampleEvery
+	}
+	return tr
+}
+
+// TestRunTraceMatchesReference: the dense layout changes no draw and no
+// count — every sample field, per-AS slots included, matches the plain
+// walk, for both sampling grids the experiments use and a window set that
+// is not the default.
+func TestRunTraceMatchesReference(t *testing.T) {
+	p := testPop(t)
+	for _, cfg := range []TraceConfig{
+		{Duration: 12 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 3, TrackSyncedByAS: true},
+		{Duration: 3 * time.Hour, SampleEvery: time.Minute, Seed: 63},
+		{Duration: 30 * time.Hour, SampleEvery: 7 * time.Minute, Seed: 8,
+			VulnerabilityWindows: []time.Duration{time.Minute, 45 * time.Minute, 6 * time.Hour}},
+	} {
+		got := runTrace(t, cfg)
+		if want := referenceTrace(p, cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: RunTrace differs from the reference walk", cfg.Seed)
 		}
 	}
 }

@@ -23,25 +23,30 @@ type TableIRow struct {
 	UptimeIndex  stats.Summary
 }
 
-// CharacterizeFamilies recomputes Table I from a population.
+// CharacterizeFamilies recomputes Table I from a population. Each family's
+// columns are counted first, then filled in node order into presized
+// slices, so no node record is copied.
 func CharacterizeFamilies(p *dataset.Population) []TableIRow {
-	byFam := map[topology.AddrFamily][]dataset.NodeRecord{}
-	for _, n := range p.Nodes {
-		byFam[n.Family] = append(byFam[n.Family], n)
-	}
 	families := []topology.AddrFamily{topology.FamilyIPv4, topology.FamilyIPv6, topology.FamilyOnion}
 	rows := make([]TableIRow, 0, len(families))
 	for _, f := range families {
-		nodes := byFam[f]
-		var speed, lat, upt []float64
-		for _, n := range nodes {
-			speed = append(speed, n.LinkSpeedMbs)
-			lat = append(lat, n.LatencyIndex)
-			upt = append(upt, n.UptimeIndex)
+		count := 0
+		for i := range p.Nodes {
+			if p.Nodes[i].Family == f {
+				count++
+			}
+		}
+		speed, lat, upt := make([]float64, 0, count), make([]float64, 0, count), make([]float64, 0, count)
+		for i := range p.Nodes {
+			if n := &p.Nodes[i]; n.Family == f {
+				speed = append(speed, n.LinkSpeedMbs)
+				lat = append(lat, n.LatencyIndex)
+				upt = append(upt, n.UptimeIndex)
+			}
 		}
 		rows = append(rows, TableIRow{
 			Family:       f,
-			Count:        len(nodes),
+			Count:        count,
 			LinkSpeed:    stats.Summarize(speed),
 			LatencyIndex: stats.Summarize(lat),
 			UptimeIndex:  stats.Summarize(upt),
@@ -263,9 +268,11 @@ func SyncedASSeries(tr *dataset.Trace, ases []topology.ASN) (map[topology.ASN][]
 	}
 	out := make(map[topology.ASN][]int, len(ases))
 	for _, asn := range ases {
-		series := make([]int, 0, len(tr.Samples))
-		for _, s := range tr.Samples {
-			series = append(series, s.SyncedByAS[asn])
+		series := make([]int, len(tr.Samples))
+		if slot, ok := tr.ASSlot(asn); ok {
+			for i := range tr.Samples {
+				series[i] = int(tr.Samples[i].SyncedByAS[slot])
+			}
 		}
 		out[asn] = series
 	}

@@ -287,6 +287,7 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 		`not json`,
 		`{"schema":"spec.v2","run":{"verb":"experiment","name":"all"},"seed":1,"faults":{}}`,
 		`{"schema":"spec.v1","run":{"verb":"conquer","name":"all"},"seed":1,"faults":{}}`,
+		`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,"figure6a_days":100000000}`,
 	} {
 		if code, _ := postSpec(t, ts.URL, []byte(doc)); code != http.StatusBadRequest {
 			t.Fatalf("submit %q: code %d, want 400", doc, code)
